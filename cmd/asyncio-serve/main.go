@@ -85,7 +85,7 @@ func main() {
 	}
 
 	svc := campaign.NewServer(cfg)
-	httpSrv := &http.Server{Addr: *listen, Handler: svc.Handler()}
+	httpSrv := newHTTPServer(*listen, svc.Handler())
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
@@ -115,6 +115,25 @@ func main() {
 		if err := st.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "asyncio-serve: store close: %v\n", err)
 		}
+	}
+}
+
+// HTTP limits. A client gets readHeaderTimeout to send its request
+// headers, and an idle keep-alive connection is closed after
+// idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server with its limits set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		// No WriteTimeout: NDJSON event streams and large sweeps outlive any fixed write bound.
 	}
 }
 

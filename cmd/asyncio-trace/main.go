@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"asyncio/internal/cliflags"
@@ -42,7 +41,6 @@ import (
 	"asyncio/internal/perfetto"
 	"asyncio/internal/pfs"
 	"asyncio/internal/recovery"
-	"asyncio/internal/shard"
 	"asyncio/internal/systems"
 	"asyncio/internal/trace"
 	"asyncio/internal/vclock"
@@ -98,21 +96,7 @@ func main() {
 		cons = pfs.NewConsistency(csp)
 		sysOpts = append(sysOpts, systems.WithConsistency(cons))
 	}
-	// The run is this process's only work, so -shards auto takes the
-	// whole machine. Every output below is byte-identical at any shard
-	// count; sharding only changes how fast the simulation executes.
-	sp, sperr := shard.ParseSpec(cf.Shards)
-	if sperr != nil {
-		fatalf("-shards: %v", sperr)
-	}
-	var clk *vclock.Clock
-	if n := sp.Resolve(shard.MaxShards, runtime.GOMAXPROCS(0)); n > 1 {
-		co := vclock.NewSharded(n)
-		clk = co.Clock(0)
-		sysOpts = append(sysOpts, systems.WithSharding(co, sp.Policy))
-	} else {
-		clk = vclock.New()
-	}
+	clk := vclock.New()
 	var sys *systems.System
 	switch *system {
 	case "summit":

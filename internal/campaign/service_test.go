@@ -64,14 +64,15 @@ func counter(t *testing.T, s *Server, name string) int64 {
 
 const fig3aSpec = `{"kind":"sweep","sweep":"fig3a","scale":"reduced"}`
 
-// The same campaign with fields reordered, whitespace scattered, and
-// defaults spelled out — must canonicalize to the identical content.
+// The same campaign with fields reordered, whitespace scattered,
+// defaults spelled out, and a legacy sharded-engine hint (accepted and
+// dropped) — must canonicalize to the identical content.
 const fig3aPermuted = `
 	{
 	  "scale":   "reduced",
 	  "tenant":  "default",
 	  "sweep":   "fig3a",
-	  "shards":  "1",
+	  "shards":  "4:stripe",
 	  "kind":    "sweep"
 	}
 `

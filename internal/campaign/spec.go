@@ -8,8 +8,8 @@
 // and content-hashed, and every simulation point is an independent run
 // on its own virtual clock — so a result served from cache, computed by
 // a cold worker, or computed under a different worker count is
-// byte-identical. The knob fields (faults, consistency, durability,
-// shards) share the CLI flag grammar through internal/cliflags, so the
+// byte-identical. The knob fields (faults, consistency, durability)
+// share the CLI flag grammar through internal/cliflags, so the
 // HTTP surface cannot drift from the flag surface.
 package campaign
 
@@ -63,8 +63,9 @@ type Spec struct {
 	// Shared knob block (grammar: internal/cliflags).
 	Faults      string `json:"faults,omitempty"`
 	Consistency string `json:"consistency,omitempty"`
-	// Shards is an execution hint, not identity: sharding never changes
-	// simulated output, so it is excluded from the content hash.
+	// Shards is accepted, whatever its value, only so that specs from
+	// clients of the retired sharded engine still decode. Canonicalize
+	// drops it: it never reaches execution or the content hash.
 	Shards string `json:"shards,omitempty"`
 }
 
@@ -175,14 +176,14 @@ func (s *Spec) Canonicalize() (*Spec, error) {
 		return nil, &SpecError{Msg: err.Error()}
 	}
 	// Re-render through the parsers' String round-trips so equivalent
-	// spellings ("2" vs " 2:block ") normalize to one canonical form.
+	// spellings normalize to one canonical form.
 	if pk.Faults != nil {
 		c.Faults = pk.Faults.String()
 	}
 	if pk.Consistency != nil {
 		c.Consistency = pk.Consistency.String()
 	}
-	c.Shards = pk.Shards.String()
+	c.Shards = ""
 	if c.Kind == "run" {
 		if c.Durability == "" {
 			c.Durability = "gpfs"
@@ -298,7 +299,6 @@ func (c *Spec) knobBlock() cliflags.Knobs {
 		Consistency:    c.Consistency,
 		Durability:     c.Durability,
 		DurabilitySeed: c.DurabilitySeed,
-		Shards:         c.Shards,
 	}
 }
 
@@ -308,9 +308,8 @@ func (c *Spec) ComputeTime() time.Duration {
 }
 
 // contentLines is the canonical encoding of the experiment content —
-// what the simulation computes, independent of who asked (tenant) and
-// how fast it executes (shards). Point cache keys derive from it, so
-// tenants share cached work and shard settings never split the cache.
+// what the simulation computes, independent of who asked (tenant).
+// Point cache keys derive from it, so tenants share cached work.
 func (c *Spec) contentLines() []string {
 	ls := []string{"kind=" + c.Kind}
 	switch c.Kind {

@@ -1,5 +1,5 @@
 // Package cliflags defines the observability, fault-injection,
-// durability, and sharding flag block shared by the asyncio CLIs.
+// and durability flag block shared by the asyncio CLIs.
 // cmd/asyncio-bench and cmd/asyncio-trace both register the block
 // through Register, so the two tools expose the same flag surface by
 // construction — a new shared flag added here appears in both, and the
@@ -37,9 +37,6 @@ type Set struct {
 
 	// PFS consistency model.
 	Consistency string // -consistency: spec parsed by internal/pfs
-
-	// Event-engine sharding.
-	Shards string // -shards: auto, N, N:block, or N:stripe
 }
 
 // Register installs the shared flag block on fs and returns the Set
@@ -56,7 +53,6 @@ func Register(fs *flag.FlagSet) *Set {
 	fs.IntVar(&s.CheckpointEvery, "checkpoint-every", 0, "durable checkpoint interval in epochs, 0 = off")
 	fs.BoolVar(&s.Journal, "journal", false, "journal asynchronous writes ahead of dispatch")
 	fs.StringVar(&s.Consistency, "consistency", "", "PFS consistency model: posix | session | mpiio | commit, with ;key=value tuning (see internal/pfs); empty = historical implicit model")
-	fs.StringVar(&s.Shards, "shards", "auto", "intra-run event-engine shards: auto, N, N:block, or N:stripe")
 	return s
 }
 

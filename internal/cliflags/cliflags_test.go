@@ -17,7 +17,7 @@ import (
 var sharedNames = []string{
 	"checkpoint-every", "consistency", "critpath", "durability",
 	"durability-seed", "faults", "journal", "metrics", "pprof",
-	"shards", "trace-json",
+	"trace-json",
 }
 
 func TestRegisterInstallsSharedSurface(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 )
 
 // TestKnobsParseDefaults pins the zero value to the flag defaults:
-// no faults, implicit consistency, GPFS durability at seed 1, one shard.
+// no faults, implicit consistency, GPFS durability at seed 1.
 func TestKnobsParseDefaults(t *testing.T) {
 	p, err := Knobs{}.Parse()
 	if err != nil {
@@ -18,9 +18,6 @@ func TestKnobsParseDefaults(t *testing.T) {
 	if p.Consistency != nil {
 		t.Error("zero Knobs produced a consistency spec")
 	}
-	if p.Shards.Auto || p.Shards.N != 1 {
-		t.Errorf("zero Knobs shards = %+v, want fixed 1", p.Shards)
-	}
 }
 
 // TestKnobsParseCanonicalizes checks the String round-trips the
@@ -30,7 +27,6 @@ func TestKnobsParseCanonicalizes(t *testing.T) {
 		Faults:      "crashrank=3@95s",
 		Consistency: "session",
 		Durability:  "lustre",
-		Shards:      " 2:STRIPE ",
 	}.Parse()
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +36,6 @@ func TestKnobsParseCanonicalizes(t *testing.T) {
 	}
 	if p.Consistency == nil || !strings.Contains(p.Consistency.String(), "session") {
 		t.Errorf("consistency spec = %v", p.Consistency)
-	}
-	if got := p.Shards.String(); got != "2:stripe" {
-		t.Errorf("shards canonical form = %q, want 2:stripe", got)
 	}
 }
 
@@ -56,7 +49,6 @@ func TestKnobsParseErrors(t *testing.T) {
 		{Knobs{Faults: "nonsense"}, "faults"},
 		{Knobs{Consistency: "psychic"}, "consistency"},
 		{Knobs{Durability: "ramdisk"}, "durability"},
-		{Knobs{Shards: "many"}, "shards"},
 	}
 	for _, c := range cases {
 		_, err := c.k.Parse()

@@ -131,7 +131,7 @@ type span struct {
 }
 
 // Profile analyzes the recorded edges into a blame profile. label tags
-// the output (e.g. "vpic sync shards=1").
+// the output (e.g. "vpic sync").
 func (r *Recorder) Profile(label string) *Profile {
 	if r == nil {
 		return &Profile{SchemaVersion: SchemaVersion, Label: label}

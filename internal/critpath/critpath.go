@@ -16,7 +16,7 @@
 //
 // Everything recorded is a pure function of virtual time, so the edge
 // multiset — and therefore every exported byte — is identical across
-// -shards counts and -parallel workers. The Recorder itself only
+// -parallel workers. The Recorder itself only
 // guards its slices with a mutex; canonical ordering is imposed once,
 // at analysis time.
 //
@@ -154,7 +154,6 @@ type Recorder struct {
 	windows  []WindowMark
 	waits    map[waitKey]*waitAgg
 	makespan time.Duration
-	cross    int64
 }
 
 // NewRecorder returns an empty recorder.
@@ -179,11 +178,8 @@ func (r *Recorder) Record(e Edge) {
 
 // ObserveWait implements vclock.WaitObserver (structurally): every
 // Proc.Sleep and Event.Wait reports here. The per-(proc, kind, label)
-// aggregation forms the run's wait-for graph; cross-shard waits are
-// counted separately but deliberately not keyed — whether an edge
-// crossed a shard boundary depends on the shard count, and exported
-// artifacts must not.
-func (r *Recorder) ObserveWait(proc, kind, label string, start, end time.Duration, crossShard bool) {
+// aggregation forms the run's wait-for graph.
+func (r *Recorder) ObserveWait(proc, kind, label string, start, end time.Duration) {
 	if r == nil {
 		return
 	}
@@ -196,9 +192,6 @@ func (r *Recorder) ObserveWait(proc, kind, label string, start, end time.Duratio
 	}
 	agg.count++
 	agg.total += end - start
-	if crossShard {
-		r.cross++
-	}
 	r.mu.Unlock()
 }
 
@@ -246,18 +239,6 @@ func (r *Recorder) SetMakespan(d time.Duration) {
 		r.makespan = d
 	}
 	r.mu.Unlock()
-}
-
-// CrossShardWaits returns how many observed waits crossed a shard
-// boundary — nonzero only under a sharded engine. Diagnostic; never
-// exported (it varies with the shard count by construction).
-func (r *Recorder) CrossShardWaits() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cross
 }
 
 // Edges returns a canonically-sorted copy of the recorded edges.

@@ -1,7 +1,7 @@
 // Deterministic JSON serialization of profiles, plus the human
 // summary table the -critpath flag prints. All slices are emitted in
 // the canonical orders analyze.go imposes, so the bytes are identical
-// across shard counts and parallel workers.
+// across parallel workers and recording orders.
 package critpath
 
 import (

@@ -1,15 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"testing"
-
-	"asyncio/internal/core"
-	"asyncio/internal/critpath"
-	"asyncio/internal/systems"
-	"asyncio/internal/vclock"
-	"asyncio/internal/workloads/vpicio"
-)
+import "testing"
 
 // TestAblationBlame runs the blame-attribution validation experiment at
 // reduced scale; the generator itself errors when any of the profiler's
@@ -30,51 +21,5 @@ func TestAblationBlame(t *testing.T) {
 		if total < 0.97 || total > 1.0+1e-9 {
 			t.Errorf("%s: category shares sum to %.4f, want ~1", s.Name, total)
 		}
-	}
-}
-
-// blameProfileAt runs one profiled VPIC-IO configuration on an engine
-// with the given shard count and returns the profile's canonical JSON.
-func blameProfileAt(t *testing.T, shards int) ([]byte, *critpath.Recorder) {
-	t.Helper()
-	rec := critpath.NewRecorder()
-	opts := []systems.Option{systems.WithCritPath(rec)}
-	var clk *vclock.Clock
-	if shards > 1 {
-		co := vclock.NewSharded(shards)
-		clk = co.Clock(0)
-		opts = append(opts, systems.WithSharding(co, ""))
-	} else {
-		clk = vclock.New()
-	}
-	sys := systems.Summit(clk, 2, opts...)
-	rep, _, err := vpicio.Run(sys, vpicio.Config{Steps: 3, Mode: core.ForceAsync})
-	if err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
-	}
-	if rep.CritPath == nil {
-		t.Fatalf("shards=%d: no profile", shards)
-	}
-	b, err := rep.CritPath.MarshalBytes()
-	if err != nil {
-		t.Fatalf("shards=%d: marshal: %v", shards, err)
-	}
-	return b, rec
-}
-
-// TestCritpathShardDeterminism asserts the profiler sees the same causal
-// structure regardless of the engine partition: the full profile —
-// categories, segments, phases, and the wait-for graph — is
-// byte-identical between the serial engine and a 4-shard run, even
-// though the sharded run demonstrably took cross-shard wait edges.
-func TestCritpathShardDeterminism(t *testing.T) {
-	serial, _ := blameProfileAt(t, 1)
-	sharded, rec := blameProfileAt(t, 4)
-	if !bytes.Equal(serial, sharded) {
-		t.Fatalf("profile JSON differs between shards=1 (%d bytes) and shards=4 (%d bytes):\n--- serial ---\n%s\n--- sharded ---\n%s",
-			len(serial), len(sharded), serial, sharded)
-	}
-	if rec.CrossShardWaits() == 0 {
-		t.Fatal("sharded run recorded no cross-shard waits; determinism check is vacuous")
 	}
 }

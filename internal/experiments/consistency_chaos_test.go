@@ -27,12 +27,11 @@ func checkedSpec(t *testing.T, model pfs.Model) *pfs.ConsistencySpec {
 // base harness's: the checker saw the run, found no visibility
 // violations, and every write the model promised durable survives in
 // the final image.
-func runConsistencyChaosTrial(t *testing.T, i, shards int, model pfs.Model) string {
+func runConsistencyChaosTrial(t *testing.T, i int, model pfs.Model) string {
 	t.Helper()
-	// Offset past the crash-chaos (base) and sharded-property (+10k)
-	// suites so this fleet draws its own (seed, fault-spec) tuples.
+	// Offset past the crash-chaos (base) suite so this fleet draws its
+	// own (seed, fault-spec) tuples.
 	cfg := chaosTrialConfig(i + 20_000)
-	cfg.Shards = shards
 	cfg.Consistency = checkedSpec(t, model)
 	res, err := CrashTrial(cfg)
 	if err != nil {
@@ -57,16 +56,15 @@ func runConsistencyChaosTrial(t *testing.T, i, shards int, model pfs.Model) stri
 	return "recovered"
 }
 
-// runConsistencyChaosFleet drives the kill schedule for one model at
-// one shard count.
-func runConsistencyChaosFleet(t *testing.T, shards int, model pfs.Model) {
+// runConsistencyChaosFleet drives the kill schedule for one model.
+func runConsistencyChaosFleet(t *testing.T, model pfs.Model) {
 	trials := 500
 	if testing.Short() {
 		trials = 40
 	}
 	tags := make([]string, trials)
 	if err := RunParallel(trials, func(i int) error {
-		tags[i] = runConsistencyChaosTrial(t, i, shards, model)
+		tags[i] = runConsistencyChaosTrial(t, i, model)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -75,32 +73,20 @@ func runConsistencyChaosFleet(t *testing.T, shards int, model pfs.Model) {
 	for _, tag := range tags {
 		counts[tag]++
 	}
-	t.Logf("%s chaos outcomes over %d trials (shards=%d): %v", model, trials, shards, counts)
+	t.Logf("%s chaos outcomes over %d trials: %v", model, trials, counts)
 	if counts["recovered"] == 0 || counts["fresh-restart"] == 0 {
 		t.Fatalf("%s fleet missed a recovery path: %v", model, counts)
 	}
 }
 
-// TestConsistencyChaos runs the 500-trial kill schedule once per model
-// on the serial engine: zero visibility or durability violations.
+// TestConsistencyChaos runs the 500-trial kill schedule once per model:
+// zero visibility or durability violations.
 func TestConsistencyChaos(t *testing.T) {
 	for _, model := range consistencyModels {
 		model := model
 		t.Run(string(model), func(t *testing.T) {
 			t.Parallel()
-			runConsistencyChaosFleet(t, 1, model)
-		})
-	}
-}
-
-// TestConsistencyChaosSharded reruns the per-model kill schedule on the
-// 4-shard engine.
-func TestConsistencyChaosSharded(t *testing.T) {
-	for _, model := range consistencyModels {
-		model := model
-		t.Run(string(model), func(t *testing.T) {
-			t.Parallel()
-			runConsistencyChaosFleet(t, 4, model)
+			runConsistencyChaosFleet(t, model)
 		})
 	}
 }

@@ -64,10 +64,9 @@ func chaosTrialConfig(i int) CrashTrialConfig {
 // scan + replay + restart the image is byte-identical to a crash-free
 // run — or, when the crash outran every checkpoint, the restart rebuilt
 // it from scratch. Returns a short outcome tag for aggregation.
-func runChaosTrial(t *testing.T, i, shards int) string {
+func runChaosTrial(t *testing.T, i int) string {
 	t.Helper()
 	cfg := chaosTrialConfig(i)
-	cfg.Shards = shards
 	res, err := CrashTrial(cfg)
 	if err != nil {
 		t.Fatalf("trial %d (%s): %v", i, cfg.FaultSpec, err)
@@ -104,10 +103,10 @@ func runChaosTrial(t *testing.T, i, shards int) string {
 	return "recovered"
 }
 
-// runChaosFleet drives the seeded crash-trial fleet at a fixed shard
-// count: every trial must end in a byte-identical recovered image or a
-// typed, classified loss — never a panic, never silent corruption.
-func runChaosFleet(t *testing.T, shards int) {
+// TestCrashChaos drives the seeded crash-trial fleet: every trial must
+// end in a byte-identical recovered image or a typed, classified loss —
+// never a panic, never silent corruption.
+func TestCrashChaos(t *testing.T) {
 	trials := 500
 	if testing.Short() {
 		trials = 40
@@ -116,7 +115,7 @@ func runChaosFleet(t *testing.T, shards int) {
 	type out struct{ tag string }
 	outs := make([]out, trials)
 	if err := RunParallel(trials, func(i int) error {
-		outs[i].tag = runChaosTrial(t, i, shards)
+		outs[i].tag = runChaosTrial(t, i)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -124,7 +123,7 @@ func runChaosFleet(t *testing.T, shards int) {
 	for _, o := range outs {
 		counts[o.tag]++
 	}
-	t.Logf("chaos outcomes over %d trials (shards=%d): %v", trials, shards, counts)
+	t.Logf("chaos outcomes over %d trials: %v", trials, counts)
 	if counts["recovered"] == 0 {
 		t.Fatal("no trial exercised the checkpoint-recovery path")
 	}
@@ -132,13 +131,6 @@ func runChaosFleet(t *testing.T, shards int) {
 		t.Fatal("no trial exercised the crash-before-first-checkpoint path")
 	}
 }
-
-func TestCrashChaos(t *testing.T) { runChaosFleet(t, 1) }
-
-// TestCrashChaosSharded reruns the fleet on the 4-shard engine: crashes,
-// journal scans, and restarts must behave identically when each run's
-// ranks are spread across shards.
-func TestCrashChaosSharded(t *testing.T) { runChaosFleet(t, 4) }
 
 // TestCrashTrialDeterministic pins the chaos harness's replayability:
 // identical trial configs produce byte-identical final images and

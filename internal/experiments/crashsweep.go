@@ -11,6 +11,7 @@ import (
 	"asyncio/internal/pfs"
 	"asyncio/internal/recovery"
 	"asyncio/internal/systems"
+	"asyncio/internal/vclock"
 	"asyncio/internal/workloads/harness"
 	"asyncio/internal/workloads/vpicio"
 )
@@ -43,10 +44,6 @@ type CrashTrialConfig struct {
 	// trial; its checker lands in the result for visibility/durability
 	// oracle runs.
 	Consistency *pfs.ConsistencySpec
-	// Shards runs both the crash run and the restart on a sharded event
-	// engine (<= 1: serial). Trials are byte-identical across shard
-	// counts — the chaos harness asserts it.
-	Shards int
 }
 
 // CrashTrialResult carries everything a trial produced, for both the
@@ -125,12 +122,11 @@ func CrashTrial(cfg CrashTrialConfig) (*CrashTrialResult, error) {
 		cons = pfs.NewConsistency(&c)
 	}
 
-	clk, shardOpts := newClock(cfg.Shards)
-	opts := append(append(shardOpts, critOpts()...), systems.WithFaults(in))
+	opts := append(critOpts(), systems.WithFaults(in))
 	if cons != nil {
 		opts = append(opts, systems.WithConsistency(cons))
 	}
-	sys := systems.Summit(clk, cfg.Nodes, opts...)
+	sys := systems.Summit(vclock.New(), cfg.Nodes, opts...)
 	ck.Instrument(sys.Metrics)
 	kit.Journal.Instrument(sys.Metrics, "vpic")
 	kit.SetCrit(sys.Crit)
@@ -182,8 +178,7 @@ func CrashTrial(cfg CrashTrialConfig) (*CrashTrialResult, error) {
 		// replay is the final state and there is nothing to re-execute.
 		return res, nil
 	}
-	clk2, shardOpts2 := newClock(cfg.Shards)
-	sys2 := systems.Summit(clk2, cfg.Nodes, shardOpts2...)
+	sys2 := systems.Summit(vclock.New(), cfg.Nodes)
 	rep2, _, err := vpicio.Run(sys2, vpicio.Config{
 		Steps:            cfg.Steps,
 		ParticlesPerRank: cfg.ParticlesPerRank,

@@ -47,8 +47,8 @@ func Registry() map[string]Generator {
 }
 
 // newSystem builds a fresh clock+system for one run, attaching the
-// process-wide default fault schedule, consistency model, critical-path
-// profiling, and shard setting when they are installed. Callers that
+// process-wide default fault schedule, consistency model, and
+// critical-path profiling when they are installed. Callers that
 // cannot use the globals (concurrent differently-configured runs) build
 // systems through an explicit RunKnobs instead.
 func newSystem(name string, nodes int, opts ...systems.Option) *systems.System {

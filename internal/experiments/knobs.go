@@ -4,23 +4,22 @@ import (
 	"asyncio/internal/critpath"
 	"asyncio/internal/faults"
 	"asyncio/internal/pfs"
-	"asyncio/internal/shard"
 	"asyncio/internal/systems"
 	"asyncio/internal/vclock"
 )
 
 // RunKnobs bundles the per-run configuration the CLIs historically
 // installed through process-wide setters (SetDefaultFaults,
-// SetDefaultConsistency, SetCritPathProfiling, SetShards): the fault
-// schedule, the PFS consistency model, critical-path recording, and
-// intra-run engine sharding. The global setters still exist for the
-// flag-driven CLIs, but callers that execute many differently-configured
-// runs concurrently (the campaign service schedules points from separate
-// campaigns onto one worker pool) pass explicit knobs instead, so
-// concurrent points never race on — or observe each other's — globals.
+// SetDefaultConsistency, SetCritPathProfiling): the fault schedule,
+// the PFS consistency model, and critical-path recording. The global
+// setters still exist for the flag-driven CLIs, but callers that
+// execute many differently-configured runs concurrently (the campaign
+// service schedules points from separate campaigns onto one worker
+// pool) pass explicit knobs instead, so concurrent points never race
+// on — or observe each other's — globals.
 //
 // The zero value is the default configuration: no faults, the historical
-// implicit consistency model, no profiling, the serial engine.
+// implicit consistency model, no profiling.
 type RunKnobs struct {
 	// Faults, when non-nil, attaches a fresh injector built from this
 	// schedule to every system (an injector serves exactly one run).
@@ -30,12 +29,6 @@ type RunKnobs struct {
 	Consistency *pfs.ConsistencySpec
 	// CritPath attaches a fresh critical-path recorder to every system.
 	CritPath bool
-	// Shards is the intra-run engine shard count; <= 1 is the serial
-	// engine. Sharding never changes simulated output, only wall speed.
-	Shards int
-	// ShardPolicy is the rank-assignment policy for sharded runs
-	// (shard.PolicyBlock or shard.PolicyStripe; "" = block).
-	ShardPolicy string
 }
 
 // snapshotKnobs captures the current process-wide defaults as explicit
@@ -45,8 +38,6 @@ func snapshotKnobs() *RunKnobs {
 		Faults:      defaultFaultSpec,
 		Consistency: defaultConsistency,
 		CritPath:    defaultCritPath,
-		Shards:      Shards(),
-		ShardPolicy: ShardPolicy(),
 	}
 }
 
@@ -76,28 +67,13 @@ func (k *RunKnobs) sysOpts() []systems.Option {
 	return opts
 }
 
-// newClock builds one run's engine at the knobs' shard setting: a serial
-// clock, or shard 0 of a fresh coordinator plus the sharding option for
-// the system constructor.
-func (k *RunKnobs) newClock() (*vclock.Clock, []systems.Option) {
-	if k.Shards <= 1 {
-		return vclock.New(), nil
-	}
-	co := vclock.NewSharded(k.Shards)
-	policy := k.ShardPolicy
-	if policy == "" {
-		policy = shard.PolicyBlock
-	}
-	return co.Clock(0), []systems.Option{systems.WithSharding(co, policy)}
-}
-
 // newSystem builds a fresh clock+system for one run under these knobs.
 // Option order matches the historical newSystem exactly (faults, crit,
-// consistency, sharding, then caller extras), so the global-default path
-// stays byte-identical.
+// consistency, then caller extras), so the global-default path stays
+// byte-identical.
 func (k *RunKnobs) newSystem(name string, nodes int, opts ...systems.Option) *systems.System {
-	clk, shardOpts := k.newClock()
-	opts = append(append(k.sysOpts(), shardOpts...), opts...)
+	clk := vclock.New()
+	opts = append(k.sysOpts(), opts...)
 	if name == "summit" {
 		return systems.Summit(clk, nodes, opts...)
 	}

@@ -16,15 +16,6 @@ import (
 // ranks than the ordinary test matrix.
 func TestRaceAtScale(t *testing.T) { raceAtScale(t) }
 
-// TestRaceAtScaleSharded reruns the 4096-rank point on the 4-shard
-// coordinator: the same locking surfaces plus the cross-shard window
-// protocol, under -race in CI.
-func TestRaceAtScaleSharded(t *testing.T) {
-	prev := SetShards(4)
-	defer SetShards(prev)
-	raceAtScale(t)
-}
-
 // TestRaceAtScaleConsistency reruns the 4096-rank point with the POSIX
 // consistency model and its checker enabled on every generated system:
 // thousands of ranks recording writes into one oracle is exactly where

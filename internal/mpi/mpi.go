@@ -121,24 +121,8 @@ func Run(clk *vclock.Clock, size int, costs Costs, fn func(c *Comm)) *World {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))
 	}
-	return RunOn([]*vclock.Clock{clk}, size, costs, fn)
-}
-
-// RunOn is Run with an explicit clock per rank: clks holds either one
-// clock for all ranks or exactly size clocks (rank r runs on clks[r]).
-// With shard clocks of one vclock.Coordinator this partitions the world
-// across shards; world-level rendezvous events live on clks[0] and wake
-// waiters cross-shard. The returned World's Finished/Kill/Err behave as
-// in Run.
-func RunOn(clks []*vclock.Clock, size int, costs Costs, fn func(c *Comm)) *World {
-	if size <= 0 {
-		panic(fmt.Sprintf("mpi: invalid world size %d", size))
-	}
-	if len(clks) != 1 && len(clks) != size {
-		panic(fmt.Sprintf("mpi: RunOn with %d clocks for %d ranks", len(clks), size))
-	}
 	w := &World{
-		clk:     clks[0],
+		clk:     clk,
 		size:    size,
 		costs:   costs,
 		segRoot: true,
@@ -146,16 +130,8 @@ func RunOn(clks []*vclock.Clock, size int, costs Costs, fn func(c *Comm)) *World
 		boxes:   make(map[msgKey]*mailbox),
 		procs:   make([]*vclock.Proc, size),
 	}
-	// Holding any one shard pins global virtual time, so the spawn loop
-	// cannot race the first ranks into a false deadlock.
-	release := clks[0].Hold()
-	defer release()
 	for r := 0; r < size; r++ {
 		c := &Comm{w: w, rank: r}
-		clk := clks[0]
-		if len(clks) == size {
-			clk = clks[r]
-		}
 		clk.Go(fmt.Sprintf("rank%d", r), func(p *vclock.Proc) {
 			defer func() {
 				w.mu.Lock()

@@ -193,8 +193,7 @@ func (ck *ConsistencyChecker) append(ev consEvent) {
 
 // sorted returns a canonically ordered copy of the event log: by start,
 // end, kind, rank, path, then extent — a pure function of virtual time,
-// so it is identical at any shard count even though arrival order into
-// the log is not.
+// so it does not depend on the order events arrived in the log.
 func (ck *ConsistencyChecker) sorted() []consEvent {
 	ck.mu.Lock()
 	evs := append([]consEvent(nil), ck.evs...)
@@ -225,7 +224,7 @@ func (ck *ConsistencyChecker) sorted() []consEvent {
 }
 
 // Summary returns a deterministic one-line digest of the event log for
-// cross-shard fingerprint comparisons.
+// fingerprint comparisons between runs.
 func (ck *ConsistencyChecker) Summary() string {
 	if ck == nil {
 		return "consistency=off"

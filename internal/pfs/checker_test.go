@@ -155,8 +155,7 @@ func TestCheckerSummaryDeterministic(t *testing.T) {
 		consEvent{kind: evSync, rank: 0, end: 3 * ms},
 		consEvent{kind: evCommit, end: 7 * ms, epoch: 0},
 	)
-	// Same events, reversed arrival order (as a different shard
-	// interleaving would produce).
+	// Same events, reversed arrival order.
 	b := checkerWith(t, ModelMPIIO,
 		consEvent{kind: evCommit, end: 7 * ms, epoch: 0},
 		consEvent{kind: evSync, rank: 0, end: 3 * ms},

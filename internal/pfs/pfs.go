@@ -75,6 +75,10 @@ type Target struct {
 	// crit, when non-nil, records every charged transfer and metadata
 	// operation as a causal edge (set once before the run).
 	crit *critpath.Recorder
+
+	// Span and edge details, built once so the per-op hot path does not
+	// allocate them when no recorder or span is attached.
+	writeDetail, readDetail, metaDetail string
 }
 
 // SetCrit attaches the critical-path recorder. Call once, before the
@@ -125,7 +129,12 @@ func NewTarget(clk *vclock.Clock, cfg TargetConfig) *Target {
 	if cfg.BackendPeak <= 0 {
 		panic(fmt.Sprintf("pfs: BackendPeak %v must be positive", cfg.BackendPeak))
 	}
-	t := &Target{cfg: cfg}
+	t := &Target{
+		cfg:         cfg,
+		writeDetail: "pfs:" + cfg.Name + ":write",
+		readDetail:  "pfs:" + cfg.Name + ":read",
+		metaDetail:  "meta:" + cfg.Name,
+	}
 	t.contention.Store(math.Float64bits(1))
 	t.fault.Store(math.Float64bits(1))
 	t.srv = flow.NewServer(clk, t.capacityFor)
@@ -285,10 +294,10 @@ func (t *Target) TryWriteData(p *vclock.Proc, nbytes int64, sp *trace.Span) erro
 		t.bytesWritten.Add(nbytes)
 		t.mWriteOps.Add(1)
 		t.mBytesWritten.Add(nbytes)
-		sp.EventDurOn("pfs:"+t.cfg.Name+":write", nbytes, start, p.Now()-start, p.Name())
+		sp.EventDurOn(t.writeDetail, nbytes, start, p.Now()-start, p.Name())
 		t.crit.Record(critpath.Edge{
 			Track: p.Name(), Cause: critpath.PFSTransfer, Subsystem: "pfs",
-			Detail: "pfs:" + t.cfg.Name + ":write", Start: start, End: p.Now(), Bytes: nbytes,
+			Detail: t.writeDetail, Start: start, End: p.Now(), Bytes: nbytes,
 		})
 	}
 	return nil
@@ -305,10 +314,10 @@ func (t *Target) TryReadData(p *vclock.Proc, nbytes int64, sp *trace.Span) error
 		t.bytesRead.Add(nbytes)
 		t.mReadOps.Add(1)
 		t.mBytesRead.Add(nbytes)
-		sp.EventDurOn("pfs:"+t.cfg.Name+":read", nbytes, start, p.Now()-start, p.Name())
+		sp.EventDurOn(t.readDetail, nbytes, start, p.Now()-start, p.Name())
 		t.crit.Record(critpath.Edge{
 			Track: p.Name(), Cause: critpath.PFSTransfer, Subsystem: "pfs",
-			Detail: "pfs:" + t.cfg.Name + ":read", Start: start, End: p.Now(), Bytes: nbytes,
+			Detail: t.readDetail, Start: start, End: p.Now(), Bytes: nbytes,
 		})
 	}
 	return nil
@@ -354,7 +363,7 @@ func (t *Target) MetaOp(p *vclock.Proc) {
 	t.mMetaOps.Add(1)
 	t.crit.Record(critpath.Edge{
 		Track: p.Name(), Cause: critpath.Metadata, Subsystem: "pfs",
-		Detail: "meta:" + t.cfg.Name, Start: start, End: p.Now(),
+		Detail: t.metaDetail, Start: start, End: p.Now(),
 	})
 }
 

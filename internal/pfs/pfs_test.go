@@ -115,6 +115,30 @@ func TestOpAndMetaLatency(t *testing.T) {
 	}
 }
 
+// TestMetaOpUnrecordedAllocsNothing pins the per-op cost of an
+// uninstrumented metadata charge: with no critical-path recorder
+// attached, MetaOp must not allocate (its edge detail is built once,
+// with the target).
+func TestMetaOpUnrecordedAllocsNothing(t *testing.T) {
+	clk := vclock.New()
+	tg := NewTarget(clk, TargetConfig{
+		Name:        "meta",
+		BackendPeak: 100 * MB,
+		MetaLatency: time.Millisecond,
+	})
+	var allocs float64
+	clk.Go("r", func(p *vclock.Proc) {
+		tg.MetaOp(p) // warm the clock's timer pool and run queue
+		allocs = testing.AllocsPerRun(100, func() { tg.MetaOp(p) })
+	})
+	if err := clk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("MetaOp without a recorder: %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestNilProcAndZeroBytesAreNoops(t *testing.T) {
 	clk := vclock.New()
 	tg := basicTarget(clk)

@@ -20,18 +20,14 @@ import (
 )
 
 // Case is one self-benchmark: a named closure exercising the simulator.
-// Shards records the intra-run shard count the case executes at (0 and
-// 1 both mean the serial engine).
 type Case struct {
-	Name   string
-	Shards int
-	Run    func() error
+	Name string
+	Run  func() error
 }
 
 // Result is the measurement of one Case.
 type Result struct {
 	Name           string  `json:"name"`
-	Shards         int     `json:"shards,omitempty"`
 	WallSeconds    float64 `json:"wall_seconds"`
 	Events         int64   `json:"events"`
 	EventsPerSec   float64 `json:"events_per_sec"`
@@ -68,7 +64,6 @@ func Measure(c Case) (Result, error) {
 	runtime.ReadMemStats(&after)
 	r := Result{
 		Name:        c.Name,
-		Shards:      c.Shards,
 		WallSeconds: wall.Seconds(),
 		Events:      events,
 	}
@@ -122,47 +117,21 @@ func EngineCases() []Case {
 			})
 			return clk.Wait()
 		}},
-	}
-}
-
-// shardWorkload drives the scaling workload behind the engine-4096 /
-// engine-sharded pair: 4096 procs with staggered sleep periods, spread
-// round-robin across the engine's clocks. Staggered periods make every
-// advance window a different-sized wake batch, so the measurement
-// covers both dense and sparse instants.
-func shardWorkload(clks []*vclock.Clock) {
-	const procs, iters = 4096, 50
-	for i := 0; i < procs; i++ {
-		c := clks[i%len(clks)]
-		step := time.Duration(1+i%7) * time.Microsecond
-		c.Go(fmt.Sprintf("p%d", i), func(p *vclock.Proc) {
-			for k := 0; k < iters; k++ {
-				p.Sleep(step)
-			}
-		})
-	}
-}
-
-// ShardCases measures the sharded coordinator against the serial engine
-// on an identical 4096-proc schedule. The two entries share a workload
-// by construction, so their events/s ratio is the intra-run speedup.
-func ShardCases() []Case {
-	return []Case{
 		{Name: "engine-4096", Run: func() error {
+			// 4096 procs with staggered sleep periods: every advance
+			// window is a different-sized wake batch, so the case
+			// covers both dense and sparse instants at scale.
+			const procs, iters = 4096, 50
 			clk := vclock.New()
-			shardWorkload([]*vclock.Clock{clk})
+			for i := 0; i < procs; i++ {
+				step := time.Duration(1+i%7) * time.Microsecond
+				clk.Go(fmt.Sprintf("p%d", i), func(p *vclock.Proc) {
+					for k := 0; k < iters; k++ {
+						p.Sleep(step)
+					}
+				})
+			}
 			return clk.Wait()
-		}},
-		{Name: "engine-sharded", Shards: 4, Run: func() error {
-			co := vclock.NewSharded(4)
-			// The workload has no cross-shard edges, so any lookahead
-			// is safe; a generous horizon lets the shards run decoupled.
-			// A conservative engine's parallelism comes entirely from
-			// lookahead — L=0 lockstep is serialized by design — so this
-			// case measures the decoupled ceiling, not the lockstep path.
-			co.SetLookahead(time.Millisecond)
-			shardWorkload(co.Clocks())
-			return co.Wait()
 		}},
 	}
 }
@@ -189,35 +158,6 @@ func FigureCases(scale experiments.Scale, ids []string) []Case {
 	return cases
 }
 
-// ShardedFigureCases reruns figure cases on the n-shard engine. Entries
-// are suffixed "-sN" and record the shard count, so the baseline tracks
-// the full-stack sharded path (systems + harness + VOL connectors over
-// the coordinator) alongside the pure-engine pair.
-func ShardedFigureCases(scale experiments.Scale, ids []string, shards int) []Case {
-	var cases []Case
-	for _, base := range FigureCases(scale, ids) {
-		run := base.Run
-		cases = append(cases, Case{
-			Name:   fmt.Sprintf("%s-s%d", base.Name, shards),
-			Shards: shards,
-			Run: func() error {
-				prev := experiments.SetShards(shards)
-				defer experiments.SetShards(prev)
-				return run()
-			},
-		})
-	}
-	return cases
-}
-
-// DefaultShardedFigureIDs is the subset the baseline reruns sharded: a
-// weak-scaling write sweep (request pipeline + staging engine) and the
-// steps sweep (estimator) — enough stack coverage without doubling the
-// selfbench runtime.
-func DefaultShardedFigureIDs() []string {
-	return []string{"fig3a", "fig7"}
-}
-
 // DefaultFigureIDs is the stable subset of figures the baseline tracks:
 // a weak-scaling write sweep, a prefetch-read sweep, the steps sweep,
 // and the fault sweep — together they cover the request pipeline, the
@@ -242,9 +182,7 @@ func Run(scale experiments.Scale) (*Report, error) {
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Parallelism: experiments.Parallelism(),
 	}
-	cases := append(EngineCases(), ShardCases()...)
-	cases = append(cases, FigureCases(scale, DefaultFigureIDs())...)
-	cases = append(cases, ShardedFigureCases(scale, DefaultShardedFigureIDs(), 4)...)
+	cases := append(EngineCases(), FigureCases(scale, DefaultFigureIDs())...)
 	for _, c := range cases {
 		r, err := Measure(c)
 		if err != nil {

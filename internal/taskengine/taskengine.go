@@ -90,21 +90,9 @@ func (e *Engine) crit() *critpath.Recorder {
 // NewStream spawns an execution stream: a dedicated process that runs
 // pushed tasks in FIFO order. The stream runs until Shutdown.
 func (e *Engine) NewStream(name string) *Stream {
-	return e.NewStreamOn(e.clk, name)
-}
-
-// NewStreamOn is NewStream with the stream's process and events placed
-// on an explicit clock — under the sharded engine, a rank's background
-// stream lives on the rank's home shard so its task churn contends on
-// that shard's lock. clk must be the engine clock or a shard of the
-// same coordinator; nil falls back to the engine clock.
-func (e *Engine) NewStreamOn(clk *vclock.Clock, name string) *Stream {
-	if clk == nil {
-		clk = e.clk
-	}
+	clk := e.clk
 	s := &Stream{
 		e:      e,
-		clk:    clk,
 		name:   name,
 		wake:   vclock.NewEventNamed(clk, "taskengine:wake"),
 		exited: vclock.NewEventNamed(clk, "taskengine:exited"),
@@ -130,7 +118,6 @@ func (e *Engine) ShutdownAll() {
 // Stream is a single background execution context.
 type Stream struct {
 	e    *Engine
-	clk  *vclock.Clock // home clock (a shard under the sharded engine)
 	name string
 
 	mu      sync.Mutex
@@ -166,7 +153,7 @@ func (s *Stream) Push(name string, deps []*Task, fn func(p *vclock.Proc) error) 
 		name: name,
 		deps: append([]*Task(nil), deps...),
 		fn:   fn,
-		done: vclock.NewEventNamed(s.clk, "taskengine:done"),
+		done: vclock.NewEventNamed(s.e.clk, "taskengine:done"),
 	}
 	s.mu.Lock()
 	if s.stopped {
@@ -264,7 +251,7 @@ func (s *Stream) run(p *vclock.Proc) {
 			}
 			// Re-arm the wake event (events are one-shot) and sleep
 			// until more work arrives.
-			s.wake = vclock.NewEventNamed(s.clk, "taskengine:wake")
+			s.wake = vclock.NewEventNamed(s.e.clk, "taskengine:wake")
 			wake := s.wake
 			s.mu.Unlock()
 			idleStart := p.Now()

@@ -84,11 +84,6 @@ func NewEnv(ctx *core.RankCtx, eng *taskengine.Engine, raw *hdf5.File, opts Opti
 		Metrics:      ctx.Sys.Metrics,
 		Crit:         ctx.Sys.Crit,
 		InlineStages: opts.AsyncInlineStages,
-		// Under the sharded engine the rank's background stream lives on
-		// the rank's home shard (ClockFor is the system clock when
-		// serial), so stream wakeups and task churn stay on the shard's
-		// lock instead of serializing on one global clock.
-		Clock: ctx.Sys.ClockFor(ctx.Rank),
 	}
 	// The consistency stage sits upstream of the retry stage on both
 	// paths, so one successful execution records exactly one write no

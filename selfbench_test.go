@@ -2,7 +2,6 @@ package asyncio_test
 
 import (
 	"os"
-	"runtime"
 	"testing"
 
 	"asyncio/internal/experiments"
@@ -65,46 +64,6 @@ func TestBenchRegression(t *testing.T) {
 		}
 		t.Logf("%s: %.0f ns/event (baseline %.0f), %.3f allocs/event (baseline %.3f), %d events",
 			b.Name, fr.NsPerEvent, b.NsPerEvent, fr.AllocsPerEvent, b.AllocsPerEvent, fr.Events)
-	}
-}
-
-// TestShardedSpeedup is the sharding acceptance gate: on a machine with
-// at least 4 cores, the 4-shard coordinator must push the 4096-proc
-// scaling workload at >= 2x the serial engine's events/s. Skipped on
-// small machines (the coordinator cannot beat physics) and under the
-// race detector (its serialization erases the parallelism under test).
-func TestShardedSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("speedup measurement takes seconds; skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("race-detector serialization makes speedup ratios meaningless")
-	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("need >= 4 cores for a 4-shard speedup, have %d", runtime.NumCPU())
-	}
-	cases := simbench.ShardCases()
-	var serial, sharded simbench.Result
-	for _, c := range cases {
-		r, err := simbench.Measure(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch c.Name {
-		case "engine-4096":
-			serial = r
-		case "engine-sharded":
-			sharded = r
-		}
-	}
-	if serial.EventsPerSec <= 0 || sharded.EventsPerSec <= 0 {
-		t.Fatalf("missing measurements: serial %+v, sharded %+v", serial, sharded)
-	}
-	ratio := sharded.EventsPerSec / serial.EventsPerSec
-	t.Logf("serial %.2f Mev/s, 4 shards %.2f Mev/s: %.2fx",
-		serial.EventsPerSec/1e6, sharded.EventsPerSec/1e6, ratio)
-	if ratio < 2.0 {
-		t.Errorf("4-shard speedup %.2fx, want >= 2x", ratio)
 	}
 }
 
