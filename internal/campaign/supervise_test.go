@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"asyncio/internal/vclock"
 )
 
 // setCompute swaps the worker's compute function — the supervision
@@ -26,14 +28,36 @@ const panicSpec = `{"kind":"run","tenant":"mallory","workload":"vpic","nodes":1,
 // a typed 500 naming the poison, and resubmitting gets the same stable
 // answer without a single new compute attempt. Meanwhile another
 // tenant's campaign on the same pool completes untouched — one
-// tenant's panic never stalls the others.
+// tenant's panic never stalls the others. The panic is raised both on
+// the worker goroutine and inside a simulated process, which the
+// virtual clock re-raises from Wait on the worker's goroutine.
 func TestPanicPoisonTyped500(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		raise func(msg string)
+	}{
+		{"worker", func(msg string) { panic(msg) }},
+		{"proc", func(msg string) {
+			clk := vclock.New()
+			clk.Go("bystander", func(p *vclock.Proc) { p.Sleep(time.Hour) })
+			clk.Go("rank0", func(p *vclock.Proc) {
+				p.Sleep(time.Second)
+				panic(msg)
+			})
+			_ = clk.Wait()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testPanicPoison(t, tc.raise) })
+	}
+}
+
+func testPanicPoison(t *testing.T, raise func(msg string)) {
 	svc, ts := startService(t, Config{Workers: 2, PoisonStrikes: 3, RedispatchBackoff: time.Millisecond})
 	var attempts atomic.Int64
 	setCompute(svc, func(spec *Spec, i int) ([]byte, error) {
 		if spec.Tenant == "mallory" {
 			attempts.Add(1)
-			panic(fmt.Sprintf("injected fault for %s", spec.PointKey(i)))
+			raise(fmt.Sprintf("injected fault for %s", spec.PointKey(i)))
 		}
 		return ComputePoint(spec, i)
 	})

@@ -250,7 +250,6 @@ func TestWorkConservationProperty(t *testing.T) {
 		var total int64
 		var mu sync.Mutex
 		var last time.Duration
-		release := clk.Hold()
 		for i := 0; i < n; i++ {
 			size := int64(rng.Intn(64)+1) * MiB
 			total += size
@@ -263,7 +262,6 @@ func TestWorkConservationProperty(t *testing.T) {
 				mu.Unlock()
 			})
 		}
-		release()
 		if err := clk.Wait(); err != nil {
 			return false
 		}

@@ -34,6 +34,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asyncio/internal/vclock"
@@ -65,8 +66,11 @@ type Registry struct {
 	// construct with NewRegistryWithNow.
 	nowFn func() time.Duration
 
+	// series is set only before a run (NewRegistry, EnableSeries) and
+	// read on every counter and gauge update, so it is lock-free.
+	series atomic.Bool
+
 	mu     sync.Mutex
-	series bool
 	counts map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
@@ -98,13 +102,14 @@ func NewRegistry(clk *vclock.Clock) *Registry {
 	seriesDefaultMu.Lock()
 	series := seriesDefault
 	seriesDefaultMu.Unlock()
-	return &Registry{
+	r := &Registry{
 		clk:    clk,
-		series: series,
 		counts: make(map[string]*Counter),
 		gauges: make(map[string]*Gauge),
 		hists:  make(map[string]*Histogram),
 	}
+	r.series.Store(series)
+	return r
 }
 
 // EnableSeries turns on change-point series recording for counters and
@@ -114,9 +119,7 @@ func (r *Registry) EnableSeries() {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.series = true
-	r.mu.Unlock()
+	r.series.Store(true)
 }
 
 // SeriesEnabled reports whether change-point series are being recorded.
@@ -124,9 +127,7 @@ func (r *Registry) SeriesEnabled() bool {
 	if r == nil {
 		return false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.series
+	return r.series.Load()
 }
 
 // NewRegistryWithNow returns a registry stamping observations with the

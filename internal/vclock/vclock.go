@@ -12,41 +12,48 @@
 // The package deliberately mirrors the small set of primitives a
 // discrete-event simulation needs: processes (Go/Proc), time
 // (Now/Sleep), one-shot condition signalling (Event), and cancellable
-// timers with callbacks (AfterFunc). Timer callbacks run without the
-// clock lock held and count as runnable work, so a callback may freely
-// use the full public API; time cannot advance underneath it.
+// timers with callbacks (AfterFunc). Timer callbacks run inline in the
+// scheduler loop between process runs, so a callback may freely use the
+// full public API; time cannot advance underneath it.
 //
-// Determinism comes from full serialization of process execution: at any
-// real moment at most one process of a Clock is running. Every wakeup —
-// a timer window's sleeper batch, an Event.Fire, a Kill, a Go spawn — is
-// parked in a FIFO run queue rather than signalled immediately, and the
-// advance loop delivers exactly one parked wakeup whenever the clock is
-// idle (no process running, no callback in flight). The woken process
-// runs to its next blocking point before the next wakeup is delivered.
-// The host goroutine's calls (Go, AfterFunc, Fire, Kill) only park or
-// schedule; the run starts in Wait, so host set-up cannot race the
-// processes it spawns. Same-instant processes therefore interact with
+// Each Proc runs as a coroutine (iter.Pull) and Clock.Wait is the one
+// scheduler loop that drives them: it resumes the head of a FIFO run
+// queue of procs, and when the queue is empty it advances to the next
+// pending instant. A blocking operation (Sleep, Event.Wait) records what
+// the proc waits for and yields back to the loop; it is resumed when a
+// timer, an Event.Fire, a Kill or its spawn puts it on the run queue.
+// At most one process of a Clock is ever running, so the engine needs no
+// lock: Go, AfterFunc, Fire and Kill called from a process, a callback,
+// or the host goroutine before Wait only queue or schedule work, and the
+// run starts in Wait. Same-instant processes therefore interact with
 // shared simulation state (message queues, caches, FIFO servers) in one
 // canonical order — timer pops in (time, seq) order, then
 // dynamically-triggered wakeups in the order the serialized execution
 // produced them — regardless of GOMAXPROCS, async preemption, or
 // host-machine load.
 //
-// The event engine is built for throughput: timer entries are pooled and
-// recycled (generation-tagged so a stale Timer handle can never cancel or
-// re-fire a recycled entry), every Proc owns one reusable wake channel,
-// same-instant wakeups are drained as a single batch, callbacks run
-// inline on the advancing goroutine instead of spawning one per batch,
-// and cancellation removes the heap entry in O(log n) via its maintained
-// index rather than leaving garbage for later scans. Now() is lock-free.
+// The event engine is built for throughput: a coroutine switch costs
+// about a fifth of a goroutine handoff through a channel; a finished
+// proc's coroutine is reused for the next Go, and idle coroutines are
+// shared between clocks through a capped process-wide free list; timer
+// entries are pooled and recycled (generation-tagged so a stale Timer
+// handle can never cancel or re-fire a recycled entry); same-instant
+// wakeups are drained as a single batch; and cancellation removes the
+// heap entry in O(log n) via its maintained index. Now() is lock-free.
+//
+// A panic inside a process (or a timer callback) comes out of Wait on
+// the caller's goroutine with its original value, after Wait has
+// stopped every other suspended coroutine of the clock. A deadlock
+// likewise stops every blocked coroutine before Wait reports it, so
+// neither leaves goroutines behind.
 package vclock
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -54,58 +61,45 @@ import (
 // Clock is a discrete-event virtual clock. The zero value is not usable;
 // construct with New.
 type Clock struct {
-	mu      sync.Mutex
-	now     time.Duration
-	nowView atomic.Int64 // mirror of now for lock-free Now()
-	events  atomic.Int64 // fired entries (proc wakeups + callbacks)
-	queue   timerHeap
-	seq     int64 // tiebreak for deterministic ordering of same-time entries
-	running int   // procs (and in-flight callbacks) currently runnable
-	alive   int   // procs started and not yet finished
-	procs   map[*Proc]struct{}
-	idle    *sync.Cond // signalled when alive drops to zero
-	dead    bool       // deadlock detected; clock is poisoned
-	deadMsg string
+	now    atomic.Int64 // current virtual time; atomic so Now is safe from any goroutine
+	events atomic.Int64 // fired entries (proc wakeups + callbacks)
+	queue  timerHeap
+	seq    int64   // tiebreak for deterministic ordering of same-time entries
+	alive  []*Proc // procs started and not yet finished, indexed by Proc.slot
+	err    error   // set once the run deadlocked or panicked; the clock is poisoned
+
+	// runq is the FIFO run queue: procs ready to resume, in the order
+	// their wakeups happened. runHead indexes the next one; the slice is
+	// reset when drained so the backing array is reused.
+	runq    []*Proc
+	runHead int
 
 	free      []*timerEntry             // recycled entries (the pool)
 	cbScratch []func(now time.Duration) // batch buffer for same-instant callbacks
-
-	// The serialized run queue. Every wakeup is parked here and
-	// delivered one at a time, each only once the clock is idle, so the
-	// woken proc runs with every other process parked at a blocking
-	// point — the order a single-CPU FIFO scheduler produces. deferHead
-	// indexes the next wake to deliver; the slice is reset when drained
-	// so the backing array is reused.
-	deferredQ []chan struct{}
-	deferHead int
+	idle      []*coro                   // coroutines of finished procs, ready for the next Go
+	tearing   bool                      // stopping coroutines after a deadlock or panic
 
 	// waitObs, when non-nil, observes every blocking interval (sleeps
-	// and event waits). Set once via SetWaitObserver before any process
-	// runs; read lock-free on the hot path.
+	// and event waits). Set once via SetWaitObserver before the run.
 	waitObs WaitObserver
 }
 
 // WaitObserver receives every blocking edge of the clock's processes:
 // kind is "sleep" or "event", label the event's label (empty for
 // sleeps and unlabeled events), start/end the blocked interval in
-// virtual time. Implementations must be safe for concurrent use and
-// cheap — they run on every blocking operation.
-// internal/critpath's Recorder implements this interface.
+// virtual time. Implementations must be cheap — they run on every
+// blocking operation. internal/critpath's Recorder implements this
+// interface.
 type WaitObserver interface {
 	ObserveWait(proc, kind, label string, start, end time.Duration)
 }
 
 // SetWaitObserver installs o as the clock's blocking-edge observer.
-// Must be called before any process runs; the field is read without
-// synchronization afterwards.
+// Must be called before the run starts.
 func (c *Clock) SetWaitObserver(o WaitObserver) { c.waitObs = o }
 
 // New returns a Clock set to virtual time zero.
-func New() *Clock {
-	c := &Clock{procs: make(map[*Proc]struct{})}
-	c.idle = sync.NewCond(&c.mu)
-	return c
-}
+func New() *Clock { return &Clock{} }
 
 // blocking reasons, formatted lazily only for deadlock reports so the hot
 // Sleep path never touches fmt.
@@ -122,25 +116,25 @@ const (
 type Proc struct {
 	c       *Clock
 	name    string
-	wake    chan struct{} // reusable cap-1 wake signal; a proc blocks on one thing at a time
-	state   procState
+	fn      func(p *Proc) // body, cleared once started
+	co      *coro         // the coroutine running the body; nil until first resumed
+	slot    int           // index in c.alive
 	stateAt time.Duration // wake deadline when sleeping, for deadlock reports
 
 	// Kill support. pending is the sleep timer entry while blocked in
-	// Sleep, waitingOn the event while blocked in Wait (both guarded by
-	// c.mu) so Kill can dequeue a blocked victim; killed is checked
-	// lock-free after every wake, and killErr is safely visible to any
-	// reader that observed killed == true.
+	// Sleep, waitingOn the event while blocked in Wait, so Kill can
+	// dequeue a blocked victim; killErr is published before killed.
 	pending   *timerEntry
 	waitingOn *Event
-	killed    atomic.Bool
 	killErr   error
+	killed    atomic.Bool
+	state     procState
 }
 
 // Killed is the panic value a killed process unwinds with. Spawners that
 // need to observe the death (an MPI rank wrapper recording a crash, a
 // background stream failing its queue) recover it; a Killed panic that
-// reaches the top of a process goroutine is absorbed by the clock, so an
+// reaches the top of a process is absorbed by the clock, so an
 // unobserved kill simply ends the process.
 type Killed struct{ Reason error }
 
@@ -156,85 +150,54 @@ func (k Killed) Error() string {
 // next blocking operation — immediately, at the current virtual instant,
 // if it is already blocked in Sleep or Event.Wait (its pending wakeup is
 // cancelled). Idempotent: only the first reason sticks. Kill may be
-// called from another process, a timer callback, or the host goroutine;
-// a process must not kill itself (panic with Killed directly instead).
+// called from another process, a timer callback, or the host goroutine
+// before Wait; a process must not kill itself (panic with Killed
+// directly instead).
 func (p *Proc) Kill(reason error) {
-	c := p.c
-	c.mu.Lock()
 	if p.killed.Load() {
-		c.mu.Unlock()
 		return
 	}
 	p.killErr = reason
 	p.killed.Store(true)
+	c := p.c
 	if e := p.pending; e != nil {
 		// Asleep: cancel the scheduled wakeup and queue it to die.
 		heap.Remove(&c.queue, e.index)
 		c.recycle(e)
 		p.pending = nil
-		c.parkWakeLocked(p.wake)
-		c.mu.Unlock()
+		c.runq = append(c.runq, p)
 		return
 	}
 	if ev := p.waitingOn; ev != nil {
-		// Blocked on an event: claim the wakeup by clearing waitingOn —
-		// a racing Fire skips any waiter whose waitingOn no longer
-		// points at it — then withdraw from the waiter list so the
-		// event doesn't keep a dead proc.
+		// Blocked on an event: withdraw from the waiter list so the
+		// event doesn't keep a dead proc, and queue it to die.
 		p.waitingOn = nil
-		c.parkWakeLocked(p.wake)
-		removeWaiterLocked(ev, p)
-		c.mu.Unlock()
-		return
+		ev.remove(p)
+		c.runq = append(c.runq, p)
 	}
-	// Otherwise the proc is runnable (or already queued to run); it dies
-	// at its next blocking operation or at its queued wakeup.
-	c.mu.Unlock()
+	// Otherwise the proc is running or already queued to run; it dies
+	// at its next blocking operation or when its queued wakeup resumes it.
 }
 
-// removeWaiterLocked withdraws p from ev's waiter list if present.
-// Caller holds ev.c.mu. A concurrent Fire may already have stolen the
-// list, in which case p is simply absent.
-func removeWaiterLocked(ev *Event, p *Proc) {
-	for i, w := range ev.waiters {
-		if w == p {
-			ev.waiters = append(ev.waiters[:i], ev.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-// parkWakeLocked enqueues a wakeup on the serialized run queue. The
-// woken proc carries no runnable claim while parked; the delivering
-// advance loop claims running++ at the moment it signals the channel.
-// Caller holds c.mu. The parker needs no follow-up: a process or timer
-// callback delivers at its next block point or when its batch ends,
-// and wakes parked by the host before Wait are delivered by Wait.
-func (c *Clock) parkWakeLocked(ch chan struct{}) {
-	c.deferredQ = append(c.deferredQ, ch)
-}
-
-// deliverLocked delivers the head of the run queue. Caller holds c.mu
-// and has checked that the clock is idle and the queue non-empty.
-func (c *Clock) deliverLocked() {
-	ch := c.deferredQ[c.deferHead]
-	c.deferredQ[c.deferHead] = nil
-	c.deferHead++
-	if c.deferHead == len(c.deferredQ) {
-		c.deferredQ = c.deferredQ[:0]
-		c.deferHead = 0
-	}
-	c.running++
-	ch <- struct{}{}
-}
-
-// checkKilled panics with Killed if the proc has been killed. Safe to
-// call lock-free: killErr is published before the killed flag.
+// checkKilled panics with Killed if the proc has been killed.
 func (p *Proc) checkKilled() {
 	if p.killed.Load() {
 		panic(Killed{p.killErr})
 	}
 }
+
+// park suspends the calling process until the scheduler loop resumes
+// it. A false yield means the clock is tearing down after a deadlock or
+// a panic: unwind the process.
+func (p *Proc) park() {
+	if !p.co.yield(struct{}{}) {
+		panic(teardown{})
+	}
+}
+
+// teardown is the panic value that unwinds a suspended process whose
+// coroutine was stopped. It is absorbed at the top of the process.
+type teardown struct{}
 
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string { return p.name }
@@ -243,10 +206,10 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Clock() *Clock { return p.c }
 
 // Now returns the current virtual time. It is lock-free: time cannot
-// advance while any process is runnable, so a running caller always sees
+// advance while any process is running, so a running caller always sees
 // a stable value.
 func (c *Clock) Now() time.Duration {
-	return time.Duration(c.nowView.Load())
+	return time.Duration(c.now.Load())
 }
 
 // Now returns the current virtual time.
@@ -273,76 +236,155 @@ func TotalEvents() int64 { return totalEvents.Load() }
 // the host never start the run — Wait does — so the host may spawn
 // several processes and schedule timers before any of them runs.
 func (c *Clock) Go(name string, fn func(p *Proc)) {
-	p := &Proc{c: c, name: name, wake: make(chan struct{}, 1)}
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		panic("vclock: Go on deadlocked clock: " + c.deadMsg)
+	if c.err != nil {
+		panic("vclock: Go on dead clock: " + c.err.Error())
 	}
-	c.alive++
-	c.procs[p] = struct{}{}
-	c.parkWakeLocked(p.wake)
-	c.mu.Unlock()
-	go func() {
-		defer func() {
-			c.mu.Lock()
-			c.alive--
-			delete(c.procs, p)
-			c.blockLocked() // running--; may advance time or end the run
-			c.mu.Unlock()
-		}()
-		defer func() {
-			// A Killed panic that nobody recovered means the spawner does
-			// not care how the process ends; absorb it so the kill just
-			// terminates the process instead of crashing the host.
-			if r := recover(); r != nil {
-				if _, ok := r.(Killed); !ok {
-					panic(r)
-				}
+	p := &Proc{c: c, name: name, fn: fn, slot: len(c.alive)}
+	c.alive = append(c.alive, p)
+	c.runq = append(c.runq, p)
+}
+
+// run executes the process body. A Killed panic that nobody recovered
+// means the spawner does not care how the process ends, so it is
+// absorbed; so is the teardown unwind, and anything a process does while
+// its clock tears down. Any other panic propagates out of Wait.
+func (p *Proc) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			switch r.(type) {
+			case Killed, teardown:
+				return
 			}
-		}()
-		<-p.wake
-		p.checkKilled() // killed before first run: die without running fn
-		fn(p)
+			if p.c.tearing {
+				return
+			}
+			panic(r)
+		}
 	}()
+	fn := p.fn
+	p.fn = nil
+	p.checkKilled() // killed before first run: die without running fn
+	fn(p)
 }
 
-// Hold pins virtual time: while held, the clock treats the holder as
-// runnable work, so time cannot advance and deadlock detection is
-// suppressed. Release it before calling Wait. The returned release
-// function is idempotent and never advances the clock itself: the
-// holder's next block point, or Wait, does.
-func (c *Clock) Hold() (release func()) {
-	c.mu.Lock()
-	c.running++
-	c.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.mu.Lock()
-			c.running--
-			c.mu.Unlock()
-		})
-	}
+// exit retires a finished process and returns its coroutine to the
+// clock's free list.
+func (c *Clock) exit(p *Proc) {
+	last := len(c.alive) - 1
+	c.alive[p.slot] = c.alive[last]
+	c.alive[p.slot].slot = p.slot
+	c.alive[last] = nil
+	c.alive = c.alive[:last]
+	c.idle = append(c.idle, p.co)
+	p.co.p = nil
+	p.co = nil
 }
 
-// Wait blocks the host goroutine (in real time) until every process has
-// finished and no timer callback is in flight, so post-Wait reads of the
-// clock see a quiescent simulation. It returns an error if the clock
-// deadlocked.
+// Wait runs the simulation on the calling goroutine until every process
+// has finished, so post-Wait reads of the clock see a quiescent
+// simulation. It returns an error if the clock deadlocked. A panic in a
+// process or a timer callback is re-raised here with its original value
+// once every other process of the clock has been stopped.
+//
+// Wait is the scheduler loop: it resumes the head of the run queue, which
+// runs until its next blocking point, and advances time only when the
+// queue is empty. The loop (instead of recursion) keeps long callback
+// chains — e.g. a flow server rescheduling its completion timer for the
+// whole run — at constant stack depth.
 func (c *Clock) Wait() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// The host's calls never advance the clock, so a run whose
-	// processes are all still parked starts here.
-	c.maybeAdvanceLocked()
-	for (c.alive > 0 || c.running > 0) && !c.dead {
-		c.idle.Wait()
+	if c.err != nil {
+		return c.err
 	}
-	if c.dead {
-		return fmt.Errorf("vclock: deadlock: %s", c.deadMsg)
+	defer func() {
+		r := recover()
+		if r != nil {
+			c.err = fmt.Errorf("vclock: process panicked: %v", r)
+			c.teardown()
+		}
+		c.releaseIdle()
+		if r != nil {
+			panic(r)
+		}
+	}()
+	for {
+		if c.runHead < len(c.runq) {
+			p := c.runq[c.runHead]
+			c.runq[c.runHead] = nil
+			c.runHead++
+			if c.runHead == len(c.runq) {
+				c.runq = c.runq[:0]
+				c.runHead = 0
+			}
+			if p.co == nil {
+				p.co = c.takeCoro()
+				p.co.p = p
+			}
+			p.co.next()
+			continue
+		}
+		if len(c.alive) == 0 {
+			// The last process has exited: the run is over. Time never
+			// advances past the final process, so timers still pending
+			// (e.g. fault windows scheduled beyond the end of the run)
+			// stay unfired and post-run reads of Now() are deterministic.
+			return nil
+		}
+		if c.queue.Len() == 0 {
+			// Every process is blocked and nothing is scheduled: the
+			// simulation has deadlocked. Poison the clock and stop the
+			// blocked coroutines so no goroutine is left behind.
+			c.err = errors.New("vclock: deadlock: " + c.describeStuck())
+			c.teardown()
+			return c.err
+		}
+		c.advance()
 	}
-	return nil
+}
+
+// advance jumps to the earliest pending instant and pops every entry
+// scheduled there as one batch. The batch's sleepers join the run queue
+// in (time, seq) order; then its callbacks run to completion, inline —
+// so a callback killing a proc that wakes at this same instant publishes
+// the kill before the victim resumes, and wakes a callback triggers
+// queue behind the window's own sleepers.
+func (c *Clock) advance() {
+	t := c.queue[0].at
+	c.now.Store(int64(t))
+	cbs := c.cbScratch[:0]
+	var fired int64
+	for c.queue.Len() > 0 && c.queue[0].at == t {
+		e := heap.Pop(&c.queue).(*timerEntry)
+		fired++
+		if p := e.proc; p != nil {
+			p.pending = nil
+			c.runq = append(c.runq, p)
+		} else {
+			cbs = append(cbs, e.fn)
+		}
+		c.recycle(e)
+	}
+	c.cbScratch = cbs
+	c.events.Add(fired)
+	totalEvents.Add(fired)
+	for _, fn := range cbs {
+		fn(t)
+	}
+}
+
+// teardown stops the coroutine of every live process after a deadlock or
+// a panic. Each suspended process unwinds from its blocking call; the
+// run queue is dropped.
+func (c *Clock) teardown() {
+	c.tearing = true
+	for _, p := range c.alive {
+		if p.co != nil {
+			p.co.stop()
+		}
+	}
+	c.alive = nil
+	c.runq = nil
+	c.runHead = 0
+	c.tearing = false
 }
 
 // Sleep suspends the process for d of virtual time. Non-positive d yields
@@ -353,30 +395,20 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	var sleepStart time.Duration
-	if c.waitObs != nil {
-		sleepStart = c.Now()
-	}
-	c.mu.Lock()
-	if p.killed.Load() {
-		c.mu.Unlock()
-		panic(Killed{p.killErr})
-	}
+	p.checkKilled()
+	start := c.Now()
 	e := c.alloc()
-	e.at = c.now + d
-	e.wake = p.wake
+	e.at = start + d
 	e.proc = p
 	p.pending = e
 	c.push(e)
 	p.state = stateSleeping
 	p.stateAt = e.at
-	c.blockLocked()
-	c.mu.Unlock()
-	<-p.wake
+	p.park()
 	p.state = stateRunning
 	p.checkKilled()
 	if o := c.waitObs; o != nil {
-		o.ObserveWait(p.name, "sleep", "", sleepStart, c.Now())
+		o.ObserveWait(p.name, "sleep", "", start, c.Now())
 	}
 }
 
@@ -387,10 +419,14 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // called; waits after Fire return immediately. The zero value is not
 // usable; construct with NewEvent.
 type Event struct {
-	c       *Clock
-	label   string
-	fired   bool
-	waiters []*Proc
+	c     *Clock
+	label string
+	fired bool
+	// Waiters in registration order: most events have at most one, so
+	// the first is held inline and rest is only allocated from the
+	// second on. rest is non-empty only while first is set.
+	first *Proc
+	rest  []*Proc
 }
 
 // NewEvent returns an unfired Event on c.
@@ -401,63 +437,71 @@ func NewEvent(c *Clock) *Event { return &Event{c: c} }
 func NewEventNamed(c *Clock, label string) *Event { return &Event{c: c, label: label} }
 
 // Fired reports whether the event has been fired.
-func (e *Event) Fired() bool {
-	e.c.mu.Lock()
-	defer e.c.mu.Unlock()
-	return e.fired
-}
+func (e *Event) Fired() bool { return e.fired }
 
 // Fire signals the event, queueing a wakeup for every current waiter at
 // the present instant. Firing an already-fired event is a no-op. Fire
-// may be called from a process, a timer callback, or the host goroutine.
+// may be called from a process, a timer callback, or the host goroutine
+// before Wait.
 func (e *Event) Fire() {
-	c := e.c
-	c.mu.Lock()
 	if e.fired {
-		c.mu.Unlock()
 		return
 	}
 	e.fired = true
-	waiters := e.waiters
-	e.waiters = nil
-	// Park in registration order. The waitingOn check skips waiters a
-	// racing Kill already claimed (it clears waitingOn under this lock).
-	for _, p := range waiters {
-		if p.waitingOn == e {
-			p.waitingOn = nil
-			c.parkWakeLocked(p.wake)
+	p := e.first
+	if p == nil {
+		return
+	}
+	c := e.c
+	e.first = nil
+	p.waitingOn = nil
+	c.runq = append(c.runq, p)
+	for _, q := range e.rest {
+		q.waitingOn = nil
+		c.runq = append(c.runq, q)
+	}
+	e.rest = nil
+}
+
+// remove withdraws p from the waiter list, keeping registration order.
+func (e *Event) remove(p *Proc) {
+	if e.first == p {
+		e.first = nil
+		if len(e.rest) > 0 {
+			e.first = e.rest[0]
+			e.rest = append(e.rest[:0], e.rest[1:]...)
+		}
+		return
+	}
+	for i, w := range e.rest {
+		if w == p {
+			e.rest = append(e.rest[:i], e.rest[i+1:]...)
+			return
 		}
 	}
-	c.mu.Unlock()
 }
 
 // Wait blocks p until the event fires. Returns immediately if already
 // fired. p must belong to the event's clock.
 func (e *Event) Wait(p *Proc) {
-	c := e.c
-	c.mu.Lock()
-	if p.killed.Load() {
-		c.mu.Unlock()
-		panic(Killed{p.killErr})
-	}
+	p.checkKilled()
 	if e.fired {
-		c.mu.Unlock()
 		return
 	}
-	// Capture the wait's start before blockLocked: on the serial engine
-	// blocking the last runnable proc advances the clock inline, so a
-	// read afterwards would see the wake instant, not the block instant.
+	c := e.c
 	var start time.Duration
 	obs := c.waitObs
 	if obs != nil {
-		start = time.Duration(c.nowView.Load())
+		start = c.Now()
 	}
-	e.waiters = append(e.waiters, p)
+	if e.first == nil {
+		e.first = p
+	} else {
+		e.rest = append(e.rest, p)
+	}
 	p.waitingOn = e
 	p.state = stateEventWait
-	c.blockLocked()
-	c.mu.Unlock()
-	<-p.wake
+	p.park()
 	p.state = stateRunning
 	p.checkKilled()
 	if obs != nil {
@@ -476,17 +520,15 @@ type Timer struct {
 }
 
 // AfterFunc schedules fn to run at virtual time Now()+d. The callback runs
-// without the clock lock held and counts as runnable work, so time cannot
-// advance while it executes; it may call any Clock, Event, or Timer
-// method, but must not block on Proc operations (it has no Proc).
+// inline in the scheduler loop, so time cannot advance while it executes;
+// it may call any Clock, Event, or Timer method, but must not block on
+// Proc operations (it has no Proc).
 func (c *Clock) AfterFunc(d time.Duration, fn func(now time.Duration)) *Timer {
 	if d < 0 {
 		d = 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e := c.alloc()
-	e.at = c.now + d
+	e.at = c.Now() + d
 	e.fn = fn
 	c.push(e)
 	return &Timer{c: c, entry: e, gen: e.gen}
@@ -497,8 +539,6 @@ func (c *Clock) AfterFunc(d time.Duration, fn func(now time.Duration)) *Timer {
 // removes the entry from the queue in O(log n) via its heap index.
 func (t *Timer) Stop() bool {
 	c := t.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e := t.entry
 	if e.gen != t.gen {
 		return false // fired or stopped; the entry may already serve another timer
@@ -508,7 +548,7 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// timerEntry is a pooled heap element: either a proc wakeup (wake != nil)
+// timerEntry is a pooled heap element: either a proc wakeup (proc != nil)
 // or a scheduled callback (fn != nil). index is its heap position,
 // maintained by timerHeap.Swap so removal needs no scan; gen increments
 // on every recycle so stale Timer handles cannot touch a reused entry.
@@ -517,12 +557,11 @@ type timerEntry struct {
 	seq   int64
 	index int
 	gen   uint64
-	wake  chan struct{}
-	proc  *Proc // owner of a sleep wakeup, so Kill can cancel it; nil for callbacks
+	proc  *Proc // the sleeper to wake; nil for callbacks
 	fn    func(now time.Duration)
 }
 
-// alloc takes an entry from the pool (or makes one). Caller holds c.mu.
+// alloc takes an entry from the pool (or makes one).
 func (c *Clock) alloc() *timerEntry {
 	if n := len(c.free); n > 0 {
 		e := c.free[n-1]
@@ -534,10 +573,9 @@ func (c *Clock) alloc() *timerEntry {
 }
 
 // recycle bumps the entry's generation (invalidating outstanding Timer
-// handles), clears it, and returns it to the pool. Caller holds c.mu.
+// handles), clears it, and returns it to the pool.
 func (c *Clock) recycle(e *timerEntry) {
 	e.gen++
-	e.wake = nil
 	e.proc = nil
 	e.fn = nil
 	e.index = -1
@@ -551,104 +589,9 @@ func (c *Clock) push(e *timerEntry) {
 	heap.Push(&c.queue, e)
 }
 
-// blockLocked marks the calling process as blocked (or exited) and
-// advances virtual time if it was the last runnable one. Caller holds
-// c.mu.
-func (c *Clock) blockLocked() {
-	c.running--
-	c.maybeAdvanceLocked()
-}
-
-// maybeAdvanceLocked delivers the next serialized wakeup, advancing
-// virtual time when the run queue is empty. Each iteration first
-// delivers one parked wake, if any — the woken proc then runs alone
-// until its next blocking point, which re-enters this loop. With the
-// queue drained it jumps to the earliest pending instant and pops every
-// entry scheduled there as one batch: callbacks run to completion FIRST,
-// inline on this goroutine with the lock released — so a callback
-// killing a proc that wakes at this same instant publishes the kill flag
-// before the victim resumes — and the batch's proc wakeups are parked in
-// (time, seq) order for one-at-a-time delivery. Callbacks count as
-// runnable work, so no other goroutine can advance concurrently and the
-// shared batch buffer is safe. The loop (instead of recursion) keeps
-// long callback chains — e.g. a flow server rescheduling its completion
-// timer for the whole run — at constant stack depth. Caller holds c.mu;
-// the lock is held again on return.
-func (c *Clock) maybeAdvanceLocked() {
-	for {
-		if c.running > 0 || c.dead {
-			return
-		}
-		if c.deferHead < len(c.deferredQ) {
-			c.deliverLocked()
-			return
-		}
-		if c.alive == 0 {
-			// The last process has exited: the run is over. Time never
-			// advances past the final process, so timers still pending
-			// (e.g. fault windows scheduled beyond the end of the run)
-			// stay unfired and post-run reads of Now() are deterministic.
-			// This is also the only place Wait is woken, which guarantees
-			// it cannot return while a timer callback is in flight.
-			c.idle.Broadcast()
-			return
-		}
-		if c.queue.Len() == 0 {
-			// Every process is blocked and nothing is scheduled: the
-			// simulation has deadlocked. Poison the clock so Wait
-			// reports it; the parked process goroutines are leaked,
-			// which is acceptable for a diagnosable programming error.
-			c.dead = true
-			c.deadMsg = c.describeStuckLocked()
-			c.idle.Broadcast()
-			return
-		}
-		t := c.queue[0].at
-		c.now = t
-		c.nowView.Store(int64(t))
-		cbs := c.cbScratch[:0]
-		nwakes := 0
-		var fired int64
-		for c.queue.Len() > 0 && c.queue[0].at == t {
-			e := heap.Pop(&c.queue).(*timerEntry)
-			fired++
-			if e.wake != nil {
-				if e.proc != nil {
-					e.proc.pending = nil
-				}
-				c.deferredQ = append(c.deferredQ, e.wake)
-				nwakes++
-			} else {
-				cbs = append(cbs, e.fn)
-			}
-			c.recycle(e)
-		}
-		c.cbScratch = cbs
-		c.events.Add(fired)
-		totalEvents.Add(fired)
-		if len(cbs) > 0 {
-			// Callbacks count as runnable work so time holds still while
-			// they execute; run them here with the lock dropped. Wakes
-			// they trigger are parked behind the window's own, so every
-			// proc of the instant resumes before any kill victim or
-			// event waiter a callback released.
-			c.running += len(cbs)
-			c.mu.Unlock()
-			for _, fn := range cbs {
-				fn(t)
-			}
-			c.mu.Lock()
-			c.running -= len(cbs)
-		}
-		// Loop: the next iteration delivers the window's first parked
-		// wake (or evaluates the next instant after a callback-only
-		// batch that parked nothing).
-	}
-}
-
-func (c *Clock) describeStuckLocked() string {
-	names := make([]string, 0, len(c.procs))
-	for p := range c.procs {
+func (c *Clock) describeStuck() string {
+	names := make([]string, 0, len(c.alive))
+	for _, p := range c.alive {
 		var st string
 		switch p.state {
 		case stateSleeping:
@@ -662,7 +605,7 @@ func (c *Clock) describeStuckLocked() string {
 	}
 	sort.Strings(names)
 	return fmt.Sprintf("%d proc(s) blocked with no pending timers at t=%v: %s",
-		len(names), c.now, strings.Join(names, ", "))
+		len(names), c.Now(), strings.Join(names, ", "))
 }
 
 // timerHeap orders entries by time, then insertion sequence, and keeps

@@ -1,6 +1,9 @@
 package vclock
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -257,14 +260,97 @@ func TestCallbackMayScheduleMoreWork(t *testing.T) {
 	}
 }
 
+// A deadlock is reported with the stuck processes, and the blocked
+// coroutines are stopped rather than leaked: the goroutine count returns
+// to where it started, apart from coroutines parked on the process-wide
+// free list for reuse.
 func TestDeadlockDetected(t *testing.T) {
+	before := runtime.NumGoroutine() - idleCoroCount()
 	c := New()
 	ev := NewEvent(c) // never fired
-	c.Go("stuck", func(p *Proc) { ev.Wait(p) })
+	unwound := 0
+	for i := 0; i < 3; i++ {
+		c.Go(fmt.Sprintf("stuck%d", i), func(p *Proc) {
+			defer func() { unwound++ }()
+			ev.Wait(p)
+		})
+	}
+	c.Go("done", func(p *Proc) { p.Sleep(time.Second) })
 	err := c.Wait()
 	if err == nil {
 		t.Fatal("Wait returned nil for deadlocked clock")
 	}
+	want := "vclock: deadlock: 3 proc(s) blocked with no pending timers at t=1s: " +
+		"stuck0 (waiting on event), stuck1 (waiting on event), stuck2 (waiting on event)"
+	if err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
+	}
+	if unwound != 3 {
+		t.Fatalf("%d of 3 blocked processes unwound", unwound)
+	}
+	if after := runtime.NumGoroutine() - idleCoroCount(); after != before {
+		t.Fatalf("goroutines (excluding idle coroutines): %d before, %d after deadlock", before, after)
+	}
+	if err2 := c.Wait(); err2 == nil || err2.Error() != want {
+		t.Fatalf("second Wait = %v, want the same deadlock", err2)
+	}
+}
+
+// A panic inside a process comes out of Wait with its original value,
+// after every other suspended process of the clock has been stopped.
+func TestProcPanicPropagatesToWait(t *testing.T) {
+	before := runtime.NumGoroutine() - idleCoroCount()
+	boom := errors.New("proc panic")
+	c := New()
+	ev := NewEvent(c)
+	unwound := 0
+	for i := 0; i < 4; i++ {
+		c.Go("waiter", func(p *Proc) {
+			defer func() { unwound++ }()
+			ev.Wait(p)
+		})
+	}
+	c.Go("sleeper", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Sleep(time.Hour)
+	})
+	c.Go("finished", func(p *Proc) {})
+	c.Go("panicker", func(p *Proc) {
+		p.Sleep(time.Second)
+		panic(boom)
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != boom {
+				t.Fatalf("Wait panicked with %v, want %v", r, boom)
+			}
+		}()
+		_ = c.Wait()
+		t.Fatal("Wait returned instead of re-raising the panic")
+	}()
+	if unwound != 5 {
+		t.Fatalf("%d of 5 suspended processes unwound", unwound)
+	}
+	if after := runtime.NumGoroutine() - idleCoroCount(); after != before {
+		t.Fatalf("goroutines (excluding idle coroutines): %d before, %d after panic", before, after)
+	}
+	if err := c.Wait(); err == nil {
+		t.Fatal("Wait on a panicked clock returned nil")
+	}
+}
+
+// A panic inside a timer callback also comes out of Wait.
+func TestCallbackPanicPropagatesToWait(t *testing.T) {
+	c := New()
+	c.AfterFunc(time.Second, func(time.Duration) { panic("callback panic") })
+	c.Go("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+	defer func() {
+		if r := recover(); r != "callback panic" {
+			t.Fatalf("Wait panicked with %v, want the callback's value", r)
+		}
+	}()
+	_ = c.Wait()
+	t.Fatal("Wait returned instead of re-raising the panic")
 }
 
 func TestGoFromWithinProc(t *testing.T) {
@@ -298,45 +384,62 @@ func TestWaitWithNoProcsReturns(t *testing.T) {
 
 func TestSameInstantOrderIsFIFO(t *testing.T) {
 	// Entries at the same timestamp wake in insertion order (seq
-	// tiebreak), giving deterministic runs.
+	// tiebreak), and each woken proc runs to its next blocking point
+	// before the next resumes, giving deterministic runs.
 	c := New()
-	var mu sync.Mutex
 	var order []int
 	for i := 0; i < 8; i++ {
 		c.Go("p", func(p *Proc) {
 			p.Sleep(time.Second)
-			mu.Lock()
 			order = append(order, i)
-			mu.Unlock()
 		})
 	}
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("order = %v, want 0..7", order)
+		}
+	}
 	if len(order) != 8 {
 		t.Fatalf("len(order) = %d, want 8", len(order))
 	}
-	// All woke at the same instant; the wake channels are closed in seq
-	// order but goroutine scheduling may interleave bodies. We only check
-	// that every proc ran exactly once.
-	seen := map[int]bool{}
-	for _, v := range order {
-		if seen[v] {
-			t.Fatalf("proc %d ran twice", v)
+}
+
+// BenchmarkSpawn measures Go plus one resume of a process that returns
+// at once: the coroutine handoff and reuse path.
+func BenchmarkSpawn(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := New()
+		for j := 0; j < 64; j++ {
+			c.Go("p", func(p *Proc) {})
 		}
-		seen[v] = true
+		if err := c.Wait(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func BenchmarkSleepWake(b *testing.B) {
-	c := New()
-	c.Go("bench", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Microsecond)
+// TestSpawnAllocs pins the cost of a process: after warm-up, a 64-proc
+// run on a fresh clock, each proc sleeping once, allocates at most 3
+// times per proc — coroutines are reused across runs, so a spawn costs
+// its Proc and little else.
+func TestSpawnAllocs(t *testing.T) {
+	const procs = 64
+	run := func() {
+		c := New()
+		for i := 0; i < procs; i++ {
+			c.Go("p", func(p *Proc) { p.Sleep(time.Microsecond) })
 		}
-	})
-	if err := c.Wait(); err != nil {
-		b.Fatal(err)
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the process-wide coroutine free list
+	if got := testing.AllocsPerRun(20, run) / procs; got > 3 {
+		t.Fatalf("%.2f allocs per proc, want <= 3", got)
 	}
 }
 
@@ -355,41 +458,49 @@ func BenchmarkManyProcsPingPong(b *testing.B) {
 	}
 }
 
-func TestHoldSuppressesDeadlockDuringSpawn(t *testing.T) {
+// A waiter spawned before the process that fires its event is not a
+// deadlock: the host's Go calls only queue work, and the run starts in
+// Wait with both processes registered.
+func TestSpawnWaiterBeforeFirerIsNotDeadlock(t *testing.T) {
 	c := New()
-	release := c.Hold()
 	ev := NewEvent(c)
-	// The first proc blocks immediately; without the hold this would be
-	// declared a deadlock before the second proc exists.
 	c.Go("waiter", func(p *Proc) { ev.Wait(p) })
 	c.Go("firer", func(p *Proc) {
 		p.Sleep(time.Second)
 		ev.Fire()
 	})
-	release()
-	release() // idempotent
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestHoldPinsTime(t *testing.T) {
+// Nothing runs before Wait: however long the host takes to set up, the
+// spawned processes stay queued and virtual time stays at 0.
+func TestTimeStaysZeroUntilWait(t *testing.T) {
 	c := New()
-	release := c.Hold()
-	c.Go("sleeper", func(p *Proc) { p.Sleep(time.Second) })
-	// Give the sleeper a chance to block; time must not advance while
-	// held.
-	deadline := time.Now().Add(200 * time.Millisecond)
+	var ran atomic.Bool
+	c.Go("sleeper", func(p *Proc) {
+		ran.Store(true)
+		p.Sleep(time.Second)
+	})
+	deadline := time.Now().Add(50 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if c.Now() != 0 {
-			t.Fatal("time advanced under Hold")
+		if c.Now() != 0 || ran.Load() {
+			t.Fatal("the run started before Wait")
 		}
 	}
-	release()
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if c.Now() != time.Second {
 		t.Fatalf("final time %v", c.Now())
 	}
+}
+
+// idleCoroCount reports the size of the process-wide free list, whose
+// coroutines stay parked as goroutines between runs.
+func idleCoroCount() int {
+	idleCoros.Lock()
+	defer idleCoros.Unlock()
+	return len(idleCoros.list)
 }
