@@ -52,6 +52,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -67,6 +68,11 @@ type Clock struct {
 	seq    int64   // tiebreak for deterministic ordering of same-time entries
 	alive  []*Proc // procs started and not yet finished, indexed by Proc.slot
 	err    error   // set once the run deadlocked or panicked; the clock is poisoned
+
+	// panicStack is the stack of a process that panicked, captured on
+	// its coroutine before the panic is re-raised in Wait (which loses
+	// the faulting frame), so the poisoned clock's error keeps it.
+	panicStack []byte
 
 	// runq is the FIFO run queue: procs ready to resume, in the order
 	// their wakeups happened. runHead indexes the next one; the slice is
@@ -247,7 +253,8 @@ func (c *Clock) Go(name string, fn func(p *Proc)) {
 // run executes the process body. A Killed panic that nobody recovered
 // means the spawner does not care how the process ends, so it is
 // absorbed; so is the teardown unwind, and anything a process does while
-// its clock tears down. Any other panic propagates out of Wait.
+// its clock tears down. Any other panic propagates out of Wait, and its
+// stack is kept for the clock's error.
 func (p *Proc) run() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -258,6 +265,7 @@ func (p *Proc) run() {
 			if p.c.tearing {
 				return
 			}
+			p.c.panicStack = debug.Stack()
 			panic(r)
 		}
 	}()
@@ -284,7 +292,8 @@ func (c *Clock) exit(p *Proc) {
 // has finished, so post-Wait reads of the clock see a quiescent
 // simulation. It returns an error if the clock deadlocked. A panic in a
 // process or a timer callback is re-raised here with its original value
-// once every other process of the clock has been stopped.
+// once every other process of the clock has been stopped; the clock's
+// error, returned by later Waits, carries the faulting stack.
 //
 // Wait is the scheduler loop: it resumes the head of the run queue, which
 // runs until its next blocking point, and advances time only when the
@@ -298,7 +307,13 @@ func (c *Clock) Wait() error {
 	defer func() {
 		r := recover()
 		if r != nil {
-			c.err = fmt.Errorf("vclock: process panicked: %v", r)
+			stack := c.panicStack
+			if stack == nil {
+				// A timer callback panicked on this goroutine, whose
+				// faulting frames are still below this deferred call.
+				stack = debug.Stack()
+			}
+			c.err = fmt.Errorf("vclock: process panicked: %v\n%s", r, stack)
 			c.teardown()
 		}
 		c.releaseIdle()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -297,7 +298,8 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 // A panic inside a process comes out of Wait with its original value,
-// after every other suspended process of the clock has been stopped.
+// after every other suspended process of the clock has been stopped, and
+// the poisoned clock's error keeps the faulting frame.
 func TestProcPanicPropagatesToWait(t *testing.T) {
 	before := runtime.NumGoroutine() - idleCoroCount()
 	boom := errors.New("proc panic")
@@ -315,10 +317,7 @@ func TestProcPanicPropagatesToWait(t *testing.T) {
 		p.Sleep(time.Hour)
 	})
 	c.Go("finished", func(p *Proc) {})
-	c.Go("panicker", func(p *Proc) {
-		p.Sleep(time.Second)
-		panic(boom)
-	})
+	c.Go("panicker", func(p *Proc) { sleepThenPanic(p, boom) })
 	func() {
 		defer func() {
 			if r := recover(); r != boom {
@@ -334,24 +333,42 @@ func TestProcPanicPropagatesToWait(t *testing.T) {
 	if after := runtime.NumGoroutine() - idleCoroCount(); after != before {
 		t.Fatalf("goroutines (excluding idle coroutines): %d before, %d after panic", before, after)
 	}
-	if err := c.Wait(); err == nil {
+	err := c.Wait()
+	if err == nil {
 		t.Fatal("Wait on a panicked clock returned nil")
+	}
+	if !strings.Contains(err.Error(), "vclock.sleepThenPanic(") {
+		t.Fatalf("clock error lacks the faulting frame:\n%v", err)
 	}
 }
 
-// A panic inside a timer callback also comes out of Wait.
+func sleepThenPanic(p *Proc, v any) {
+	p.Sleep(time.Second)
+	panic(v)
+}
+
+// A panic inside a timer callback also comes out of Wait, and the
+// poisoned clock's error keeps the faulting frame.
 func TestCallbackPanicPropagatesToWait(t *testing.T) {
 	c := New()
-	c.AfterFunc(time.Second, func(time.Duration) { panic("callback panic") })
+	c.AfterFunc(time.Second, func(time.Duration) { callbackPanic() })
 	c.Go("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
-	defer func() {
-		if r := recover(); r != "callback panic" {
-			t.Fatalf("Wait panicked with %v, want the callback's value", r)
-		}
+	func() {
+		defer func() {
+			if r := recover(); r != "callback panic" {
+				t.Fatalf("Wait panicked with %v, want the callback's value", r)
+			}
+		}()
+		_ = c.Wait()
+		t.Fatal("Wait returned instead of re-raising the panic")
 	}()
-	_ = c.Wait()
-	t.Fatal("Wait returned instead of re-raising the panic")
+	err := c.Wait()
+	if err == nil || !strings.Contains(err.Error(), "vclock.callbackPanic(") {
+		t.Fatalf("clock error lacks the faulting frame:\n%v", err)
+	}
 }
+
+func callbackPanic() { panic("callback panic") }
 
 func TestGoFromWithinProc(t *testing.T) {
 	c := New()
@@ -404,6 +421,18 @@ func TestSameInstantOrderIsFIFO(t *testing.T) {
 	}
 	if len(order) != 8 {
 		t.Fatalf("len(order) = %d, want 8", len(order))
+	}
+}
+
+func BenchmarkSleepWake(b *testing.B) {
+	c := New()
+	c.Go("bench", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	if err := c.Wait(); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -474,20 +503,17 @@ func TestSpawnWaiterBeforeFirerIsNotDeadlock(t *testing.T) {
 	}
 }
 
-// Nothing runs before Wait: however long the host takes to set up, the
-// spawned processes stay queued and virtual time stays at 0.
+// Nothing runs before Wait: the spawned process stays queued and virtual
+// time stays at 0 until the scheduler loop starts.
 func TestTimeStaysZeroUntilWait(t *testing.T) {
 	c := New()
-	var ran atomic.Bool
+	ran := false
 	c.Go("sleeper", func(p *Proc) {
-		ran.Store(true)
+		ran = true
 		p.Sleep(time.Second)
 	})
-	deadline := time.Now().Add(50 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if c.Now() != 0 || ran.Load() {
-			t.Fatal("the run started before Wait")
-		}
+	if c.Now() != 0 || ran {
+		t.Fatal("the run started before Wait")
 	}
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
